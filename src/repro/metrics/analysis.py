@@ -15,10 +15,9 @@ healthy* agents have raised the failure event.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.swim.events import EventKind, MemberEvent
 
@@ -154,13 +153,28 @@ def percentile_summary(
     """Percentiles of a latency sample (``None`` for an empty sample).
 
     Uses linear interpolation, matching the conventional definition used
-    in systems papers.
+    in systems papers (and ``numpy.percentile``'s default, bit for bit).
     """
     if not values:
         return {p: None for p in percentiles}
-    array = np.asarray(values, dtype=float)
-    results = np.percentile(array, percentiles)
-    return {p: float(v) for p, v in zip(percentiles, results)}
+    ordered = sorted(float(v) for v in values)
+    return {p: _percentile(ordered, p) for p in percentiles}
+
+
+def _percentile(ordered: Sequence[float], p: float) -> float:
+    """Linear-interpolation percentile of a sorted sample, using numpy's
+    index ``(n-1) * (p/100)`` and its two-sided lerp so rounding agrees."""
+    last = len(ordered) - 1
+    index = last * (p / 100)
+    if index >= last:
+        return ordered[last]
+    below = math.floor(index)
+    gamma = index - below
+    a, b = ordered[below], ordered[below + 1]
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1 - gamma)
+    return a + diff * gamma
 
 
 def ratio_pct(value: float, baseline: float) -> Optional[float]:

@@ -12,7 +12,6 @@ See ``docs/ZONES.md`` for the design and the determinism contract.
 
 from repro.zones.bridge import UNREACHABLE_INTERVALS, BridgeStats, ZoneBridge
 from repro.zones.cluster import (
-    CrossZoneMessage,
     ZonedCluster,
     ZoneShard,
     digest_zone_cluster,
@@ -29,7 +28,6 @@ from repro.zones.topology import Zone, ZoneLayout, build_layout, zone_seed
 
 __all__ = [
     "BridgeStats",
-    "CrossZoneMessage",
     "StressWindow",
     "UNREACHABLE_INTERVALS",
     "Zone",

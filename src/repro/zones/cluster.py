@@ -5,21 +5,22 @@ Each zone is a complete, self-contained :class:`~repro.sim.runtime.SimCluster`
 ``zone_seed(master seed, zone index)``. Zones interact *only* through
 the bridge layer (:mod:`repro.zones.bridge`), and bridge traffic moves
 only at **epoch barriers**: every ``cross_zone_interval`` of virtual
-time, all zones stop at the same instant, their outboxes are merged in
-``(zone index, send order)`` order, and the surviving messages are
-injected into the destination schedulers for the next epoch. The epoch
+time, all zones stop at the same instant, their outbox records are
+merged in ``(zone index, send order)`` order, and the surviving records
+are injected into the destination schedulers for the next epoch. The epoch
 length is thus a fixed cross-zone latency floor — and, more importantly,
 the *only* synchronization point between zones.
 
 That discipline is what makes sharding trivial to get right: a
 :class:`ZoneShard` holds any subset of zones and exposes exactly three
-operations (``run_until`` a barrier, ``collect_outbox``, ``deliver``).
-:class:`ZonedCluster` drives one shard in-process;
-:mod:`repro.zones.sharded` drives many shards in worker processes with
-the master relaying outboxes between them. Both run the identical
-per-zone code on the identical message sequences, so a seeded run
-produces a bit-identical merged trace digest regardless of the process
-count.
+operations (``run_until`` a barrier, ``outbox_frame``, ``deliver``).
+Cross-zone traffic has one representation, the packed record frame of
+:mod:`repro.zones.frames`. :class:`ZonedCluster` drives one shard
+in-process and routes its own frame; :mod:`repro.zones.sharded` drives
+many shards in worker processes with the master relaying frames between
+them. Both run the identical per-zone code on the identical record
+sequences, so a seeded run produces a bit-identical merged trace digest
+regardless of the process count.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    NamedTuple,
     Optional,
     Tuple,
     Union,
@@ -46,14 +46,20 @@ from repro.sim.runtime import SimCluster
 from repro.sim.scheduler import EventScheduler
 from repro.swim.node import SwimNode
 from repro.zones.bridge import ZoneBridge
-from repro.zones.frames import RECORD_HEAD, BridgeTable, FrameBuffer, iter_records
+from repro.zones.frames import (
+    RECORD_HEAD,
+    BridgeTable,
+    FrameBuffer,
+    Record,
+    iter_records,
+    record_order,
+)
 from repro.zones.topology import ZoneLayout, build_layout, zone_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ops.registry import MetricsRegistry
 
 __all__ = [
-    "CrossZoneMessage",
     "ZoneShard",
     "ZonedCluster",
     "barrier_schedule",
@@ -88,30 +94,17 @@ def barrier_schedule(
             barrier += epoch
 
 
-class CrossZoneMessage(NamedTuple):
-    """One bridge payload in flight between zones.
-
-    ``(src_zone, seq)`` totally orders the merged outbox of an epoch:
-    ``seq`` is the per-source-zone send counter, so the merge order is
-    independent of how zones are grouped into shards.
-    """
-
-    src_zone: int
-    seq: int
-    dest_zone: int
-    dest_bridge: str
-    payload: bytes
-
-
 class ZoneShard:
     """A set of zones co-hosted in one process.
 
     The unit of work for both the single-process and the multi-process
     drivers: it can advance its zones to a barrier, surrender the
-    cross-zone messages they produced, and accept the messages routed to
-    it. Zones are always constructed, started and advanced in zone-index
-    order, so any partitioning of zones into shards replays the same
-    per-zone schedules.
+    cross-zone records they produced as one packed frame, and accept the
+    records routed to it. Zones are always constructed, started and
+    advanced in zone-index order, so any partitioning of zones into
+    shards replays the same per-zone schedules. Each record carries
+    ``(src_zone, seq)``, where ``seq`` is the per-source-zone send
+    counter, so the merge order is independent of the sharding.
     """
 
     def __init__(
@@ -121,7 +114,6 @@ class ZoneShard:
         config: SwimConfig,
         seed: int,
         loss_rate: float = 0.0,
-        bridge_table: Optional[BridgeTable] = None,
     ) -> None:
         self.layout = layout
         self.zone_indices: Tuple[int, ...] = tuple(sorted(zone_indices))
@@ -129,15 +121,11 @@ class ZoneShard:
         self.bridges: Dict[int, List[ZoneBridge]] = {}
         self._bridge_by_name: Dict[str, ZoneBridge] = {}
         self._zone_index: Dict[str, int] = {z.name: z.index for z in layout.zones}
-        self._outbox: List[CrossZoneMessage] = []
         self._seq: Dict[int, int] = {}
-        #: Frame mode (the sharded driver): senders pack records straight
-        #: into one reusable frame buffer instead of materializing
-        #: :class:`CrossZoneMessage` objects.
-        self.bridge_table = bridge_table
-        self._frame: Optional[FrameBuffer] = (
-            FrameBuffer() if bridge_table is not None else None
-        )
+        #: Bridge senders pack records straight into one reusable frame;
+        #: the intern table is a pure function of the layout.
+        self.bridge_table = BridgeTable.from_layout(layout)
+        self._frame = FrameBuffer()
         for zi in self.zone_indices:
             zone = layout.zones[zi]
             zcfg = config.replace(zone=zone.name, zone_count=layout.zone_count)
@@ -167,35 +155,16 @@ class ZoneShard:
             self.bridges[zi] = bridges
 
     def _sender_for(self, src_zone: int) -> Callable[[str, str, bytes], None]:
-        if self.bridge_table is not None:
-            frame = self._frame
-            assert frame is not None
-            bridge_ids = self.bridge_table.ids
-            zone_index = self._zone_index
-            seq_map = self._seq
-
-            def send_packed(
-                dest_zone: str, dest_bridge: str, payload: bytes
-            ) -> None:
-                seq = seq_map[src_zone]
-                seq_map[src_zone] = seq + 1
-                frame.append(
-                    src_zone,
-                    seq,
-                    zone_index[dest_zone],
-                    bridge_ids[dest_bridge],
-                    payload,
-                )
-
-            return send_packed
+        frame = self._frame
+        bridge_ids = self.bridge_table.ids
+        zone_index = self._zone_index
+        seq_map = self._seq
 
         def send(dest_zone: str, dest_bridge: str, payload: bytes) -> None:
-            seq = self._seq[src_zone]
-            self._seq[src_zone] = seq + 1
-            self._outbox.append(
-                CrossZoneMessage(
-                    src_zone, seq, self._zone_index[dest_zone], dest_bridge, payload
-                )
+            seq = seq_map[src_zone]
+            seq_map[src_zone] = seq + 1
+            frame.append(
+                src_zone, seq, zone_index[dest_zone], bridge_ids[dest_bridge], payload
             )
 
         return send
@@ -212,54 +181,28 @@ class ZoneShard:
             executed += self.clusters[zi].run_until(deadline)
         return executed
 
-    def collect_outbox(self) -> List[CrossZoneMessage]:
-        """Drain the cross-zone messages produced since the last barrier
-        (already in ``(src zone, send order)`` order within this shard)."""
-        out, self._outbox = self._outbox, []
-        return out
-
     def outbox_frame(self) -> FrameBuffer:
-        """Frame-mode outbox: the packed records produced since the last
-        barrier (same ``(src zone, send order)`` order as
-        :meth:`collect_outbox`). The caller ships ``.view()`` and then
-        calls ``.reset()`` — the buffer is reused every epoch."""
-        if self._frame is None:
-            raise RuntimeError("shard was not built with a bridge table")
+        """The packed records produced since the last barrier, in
+        ``(src zone, send order)`` order within this shard. The caller
+        ships ``.view()`` and then calls ``.reset()`` — the buffer is
+        reused every epoch."""
         return self._frame
 
-    def deliver(self, messages: Iterable[CrossZoneMessage], at: float) -> None:
-        """Inject routed messages at a barrier.
+    def deliver(self, records: Iterable[Record], at: float) -> Tuple[int, int]:
+        """Inject decoded ``(src_zone, seq, dest_zone, bridge_id,
+        payload)`` records at a barrier.
 
-        Callers must present messages in the globally sorted
-        ``(src_zone, seq)`` order; injection order determines scheduler
-        sequence numbers, which the determinism contract pins.
-        """
-        for message in messages:
-            bridge = self._bridge_by_name[message.dest_bridge]
-            cluster = self.clusters[message.dest_zone]
-            cluster.scheduler.call_at(
-                at,
-                lambda b=bridge, p=message.payload: b.receive(p),  # type: ignore[misc]
-            )
-
-    def deliver_frame(
-        self, frame: "bytes | memoryview", at: float
-    ) -> Tuple[int, int]:
-        """Frame-mode :meth:`deliver`: inject a routed inbound frame.
-
-        Records must already be in the globally sorted ``(src_zone,
-        seq)`` order (the master packs them that way); payloads are
-        materialized here because the scheduled closures outlive the
-        (reused) frame buffer. Returns ``(records, payload bytes)``
-        delivered."""
-        if self.bridge_table is None:
-            raise RuntimeError("shard was not built with a bridge table")
+        Records must come in the globally sorted ``(src_zone, seq)``
+        order; injection order determines scheduler sequence numbers,
+        which the determinism contract pins. Payloads are materialized
+        here because the scheduled closures outlive the (reused) frame
+        buffer. Returns ``(records, payload bytes)`` delivered."""
         names = self.bridge_table.names
         by_name = self._bridge_by_name
         clusters = self.clusters
         count = 0
         payload_bytes = 0
-        for _src, _seq, dest_zone, bridge_id, view in iter_records(frame):
+        for _src, _seq, dest_zone, bridge_id, view in records:
             bridge = by_name[names[bridge_id]]
             payload = bytes(view)
             clusters[dest_zone].scheduler.call_at(
@@ -310,12 +253,11 @@ class ZonedCluster:
         self._now = 0.0
         self._next_barrier = self.epoch
         self._started = False
-        #: ``(start, end, isolated zone names)`` windows; traffic with
-        #: exactly one endpoint inside the isolated set is dropped at
+        #: ``(start, end, isolated zone indices)`` windows; records with
+        #: exactly one endpoint inside the isolated set are dropped at
         #: barriers falling in ``[start, end)``.
-        self._partitions: List[Tuple[float, float, FrozenSet[str]]] = []
-        #: Barrier-level traffic counters.
-        self.cross_zone_delivered = 0
+        self._partitions: List[Tuple[float, float, FrozenSet[int]]] = []
+        #: Records cut by zone partitions.
         self.cross_zone_dropped = 0
         #: Exchange instrumentation, mirrored by the sharded driver so
         #: ``ZonedRunResult`` carries comparable numbers either way:
@@ -374,19 +316,26 @@ class ZonedCluster:
     def add_zone_partition(
         self, zones: Iterable[Union[str, int]], start: float, end: float
     ) -> None:
-        """Isolate a set of zones from the rest for ``[start, end)``."""
+        """Isolate a set of zones (names or indices) from the rest for
+        ``[start, end)``."""
         isolated = frozenset(
-            z if isinstance(z, str) else self.layout.zones[z].name for z in zones
+            self.shard._zone_index[z] if isinstance(z, str) else z for z in zones
         )
         self._partitions.append((start, end, isolated))
 
-    def _dropped(self, message: CrossZoneMessage, barrier: float) -> bool:
-        src = self.layout.zones[message.src_zone].name
-        dst = self.layout.zones[message.dest_zone].name
-        for start, end, isolated in self._partitions:
-            if start <= barrier < end and (src in isolated) != (dst in isolated):
-                return True
-        return False
+    def _cut(self, records: List[Record], barrier: float) -> List[Record]:
+        """The records that survive the zone partitions active at
+        ``barrier``: those not crossing any isolated set's boundary."""
+        active = [
+            iso for start, end, iso in self._partitions if start <= barrier < end
+        ]
+        if not active:
+            return records
+        return [
+            r
+            for r in records
+            if not any((r[0] in iso) != (r[2] in iso) for iso in active)
+        ]
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -415,18 +364,22 @@ class ZonedCluster:
         return self.run_until(self._now + duration)
 
     def _exchange(self, barrier: float) -> None:
+        """Route this shard's own outbox frame back into it: decode, sort
+        into the merge order, cut partitioned records, deliver."""
         started = time.perf_counter()
-        outbox = self.shard.collect_outbox()
-        inbound = [m for m in outbox if not self._dropped(m, barrier)]
-        self.cross_zone_dropped += len(outbox) - len(inbound)
-        self.cross_zone_delivered += len(inbound)
-        inbound.sort(key=lambda m: (m.src_zone, m.seq))
-        self.shard.deliver(inbound, barrier)
+        frame = self.shard.outbox_frame()
+        view = frame.view()
+        records = sorted(iter_records(view), key=record_order)
+        inbound = self._cut(records, barrier)
+        self.cross_zone_dropped += len(records) - len(inbound)
+        count, payload_bytes = self.shard.deliver(inbound, barrier)
+        # The decoded payloads alias the frame: drop them before reuse.
+        del records, inbound
+        view.release()
+        frame.reset()
         self.barriers += 1
-        self.barrier_msgs += len(inbound)
-        self.barrier_bytes += sum(
-            RECORD_HEAD.size + len(m.payload) for m in inbound
-        )
+        self.barrier_msgs += count
+        self.barrier_bytes += payload_bytes + count * RECORD_HEAD.size
         self.barrier_exchange_s += time.perf_counter() - started
 
     def stop(self) -> None:

@@ -1,12 +1,14 @@
 """Compact binary frames + shared-memory rings for the epoch barrier.
 
-The sharded driver's profile (docs/PERFORMANCE.md) showed the original
-barrier exchange was a pessimization: every ``CrossZoneMessage``
-NamedTuple crossed the worker/master pipe as an individual pickle, and
-the master re-pickled the sorted batches back out — at n=16384/64
-zones that is thousands of object constructions and two full pickle
-passes per epoch, which is why 4 shards on one core *doubled* the
-single-process wall clock. This module replaces that path with:
+The packed record is the only representation of cross-zone traffic:
+the in-process :class:`~repro.zones.cluster.ZonedCluster` and the
+sharded driver both route it. The sharded driver's profile
+(docs/PERFORMANCE.md) showed the original barrier exchange, which
+pickled one message object per record over the worker/master pipe and
+re-pickled the sorted batches back out, was a pessimization — at
+n=16384/64 zones that is thousands of object constructions and two full
+pickle passes per epoch, which is why 4 shards on one core *doubled*
+the single-process wall clock. This module replaces that path with:
 
 * **an interned bridge table** (:class:`BridgeTable`) — bridge names
   are the only strings in cross-zone routing, and the set of bridges
@@ -21,7 +23,8 @@ single-process wall clock. This module replaces that path with:
   Encoding appends into a reusable ``bytearray`` (the encode-buffer
   idiom of :mod:`repro.swim.codec`); decoding yields ``memoryview``
   payload slices without copying, so the master can route records into
-  per-destination frames straight off a worker's buffer;
+  per-destination frames straight off a worker's buffer
+  (:func:`route_records`, in the canonical :func:`record_order`);
 
 * **a double-buffered shared-memory ring** (:class:`BarrierRing`) —
   one ``multiprocessing.shared_memory`` segment per worker, split into
@@ -33,7 +36,8 @@ single-process wall clock. This module replaces that path with:
 
 Truncated or corrupt frames raise :class:`FrameError`, never yield
 garbage; the differential suite in ``tests/zones/test_frames.py`` pins
-the packed routing path to the legacy object-path merge order.
+:func:`route_records` to an independent object-level reference router
+kept in the test.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from multiprocessing import shared_memory
-from typing import Iterator, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.zones.topology import ZoneLayout
 
@@ -52,7 +57,10 @@ __all__ = [
     "BridgeTable",
     "FrameBuffer",
     "FrameError",
+    "Record",
     "iter_records",
+    "record_order",
+    "route_records",
 ]
 
 #: Frame header: magic ("ZF"), format version, record count.
@@ -65,6 +73,11 @@ RECORD_HEAD = struct.Struct(">HIHHI")
 
 #: One decoded record; the payload is a zero-copy slice of the frame.
 Record = Tuple[int, int, int, int, memoryview]
+
+#: Sort key of the canonical cross-zone merge order, ``(src_zone, seq)``.
+#: ``seq`` counts sends per source zone, so the order does not depend on
+#: how zones are grouped into shards.
+record_order = itemgetter(0, 1)
 
 #: Default slot capacity of a :class:`BarrierRing` (per direction, per
 #: buffer). At the n=16384/64-zone rung a barrier frame is tens of KiB;
@@ -207,6 +220,21 @@ def iter_records(frame: "bytes | bytearray | memoryview") -> Iterator[Record]:
         offset += length
     if offset != total:
         raise FrameError(f"{total - offset} bytes of trailing garbage")
+
+
+def route_records(
+    records: List[Record],
+    encoders: Sequence[FrameBuffer],
+    dest_shard: Mapping[int, int],
+) -> None:
+    """The master's barrier merge: sort ``records`` in place into
+    :func:`record_order` and append each to its destination shard's
+    frame, copying payload views straight off the source frames."""
+    records.sort(key=record_order)
+    for src_zone, seq, dest_zone, bridge_id, payload in records:
+        encoders[dest_shard[dest_zone]].append(
+            src_zone, seq, dest_zone, bridge_id, payload
+        )
 
 
 class BarrierRing:

@@ -32,7 +32,6 @@ import random
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
-from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import SwimConfig
@@ -49,7 +48,9 @@ from repro.zones.frames import (
     BarrierRing,
     BridgeTable,
     FrameBuffer,
+    Record,
     iter_records,
+    route_records,
 )
 from repro.zones.topology import ZoneLayout, build_layout
 
@@ -144,20 +145,24 @@ def _apply_stress_windows(
         )
 
 
-def _serialize_events(shard: ZoneShard) -> List[SerializedEvent]:
-    out: List[SerializedEvent] = []
-    for zi in shard.zone_indices:
-        for event in shard.clusters[zi].event_log.events:
-            out.append(
-                (
-                    event.time,
-                    event.observer,
-                    event.subject,
-                    event.kind.name,
-                    event.incarnation,
-                )
-            )
-    return out
+def _shard_results(
+    shard: ZoneShard, return_events: bool
+) -> Tuple[Dict[str, str], int, int, List[SerializedEvent]]:
+    """A finished shard's per-zone digests, event count, executed-event
+    count and (only if ``return_events``) serialized member events."""
+    clusters = [shard.clusters[zi] for zi in shard.zone_indices]
+    digests = {
+        shard.layout.zones[zi].name: digest_zone_cluster(cluster)
+        for zi, cluster in zip(shard.zone_indices, clusters)
+    }
+    events = sum(len(cluster.event_log.events) for cluster in clusters)
+    executed = sum(cluster.scheduler.executed for cluster in clusters)
+    serialized: List[SerializedEvent] = [
+        (e.time, e.observer, e.subject, e.kind.name, e.incarnation)
+        for cluster in clusters
+        for e in cluster.event_log.events
+    ] if return_events else []
+    return digests, events, executed, serialized
 
 
 def shard_slices(zone_count: int, shards: int) -> List[Tuple[int, ...]]:
@@ -171,13 +176,6 @@ def shard_slices(zone_count: int, shards: int) -> List[Tuple[int, ...]]:
         slices.append(tuple(range(offset, offset + size)))
         offset += size
     return slices
-
-
-def _count_exchanges(duration: float, epoch: float) -> int:
-    """Number of barrier exchanges a run of ``duration`` performs — the
-    barrier count of the shared :func:`barrier_schedule`, which master,
-    workers and the in-process driver all replay."""
-    return sum(1 for _, is_barrier in barrier_schedule(duration, epoch) if is_barrier)
 
 
 def _recv_checked(
@@ -242,15 +240,12 @@ def _shard_worker(
     ring: Optional[BarrierRing] = None
     try:
         layout = build_layout(n_members, zone_count, bridges_per_zone)
-        table = BridgeTable.from_layout(layout)
         ring = BarrierRing(name=ring_name, slot_bytes=ring_slot_bytes)
-        shard = ZoneShard(
-            layout, zone_indices, config, seed, bridge_table=table
-        )
+        shard = ZoneShard(layout, zone_indices, config, seed)
         shard.start()
         if stress_windows:
             _apply_stress_windows(shard, layout, stress_windows)
-        conn.send(("ready", table.digest))
+        conn.send(("ready", shard.bridge_table.digest))
         epoch = config.cross_zone_interval
         barrier = 0
         for target, is_barrier in barrier_schedule(duration, epoch):
@@ -282,21 +277,10 @@ def _shard_worker(
                 raise RuntimeError(
                     f"barrier skew: worker at {barrier}, master at {in_barrier}"
                 )
-            shard.deliver_frame(inbound, target)
+            shard.deliver(iter_records(inbound), target)
             inbound = b""  # drop the ring view before the slot is reused
             barrier += 1
-        digests = {
-            layout.zones[zi].name: digest_zone_cluster(shard.clusters[zi])
-            for zi in shard.zone_indices
-        }
-        events = sum(
-            len(shard.clusters[zi].event_log.events) for zi in shard.zone_indices
-        )
-        executed = sum(
-            shard.clusters[zi].scheduler.executed for zi in shard.zone_indices
-        )
-        serialized = _serialize_events(shard) if return_events else []
-        conn.send(("done", digests, events, executed, serialized))
+        conn.send(("done", *_shard_results(shard, return_events)))
     except Exception as exc:  # pragma: no cover - surfaced in the master
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -323,14 +307,8 @@ def _run_single(
     if stress_windows:
         _apply_stress_windows(cluster.shard, cluster.layout, stress_windows)
     cluster.run_until(duration)
-    digests = cluster.zone_digests()
-    events = cluster.total_events()
-    executed = sum(
-        cluster.shard.clusters[zi].scheduler.executed
-        for zi in cluster.shard.zone_indices
-    )
-    serialized = (
-        tuple(_serialize_events(cluster.shard)) if return_events else ()
+    digests, events, executed, serialized = _shard_results(
+        cluster.shard, return_events
     )
     cluster.stop()
     return ZonedRunResult(
@@ -344,12 +322,8 @@ def _run_single(
         barrier_exchange_s=cluster.barrier_exchange_s,
         barrier_bytes=cluster.barrier_bytes,
         barrier_msgs=cluster.barrier_msgs,
-        member_events=serialized,
+        member_events=tuple(serialized),
     )
-
-
-#: Sort key of the canonical merge order.
-_record_order = itemgetter(0, 1)
 
 
 def run_zoned(
@@ -449,10 +423,9 @@ def run_zoned(
             for zi in zone_indices
         }
         encoders = [FrameBuffer() for _ in slices]
-        records: List[Tuple[int, int, int, int, memoryview]] = []
-        for barrier in range(
-            _count_exchanges(duration, config.cross_zone_interval)
-        ):
+        records: List[Record] = []
+        schedule = barrier_schedule(duration, config.cross_zone_interval)
+        for barrier, _ in enumerate(t for t, is_barrier in schedule if is_barrier):
             for index, conn in enumerate(conns):
                 message = _recv_checked(
                     conn, procs[index], index, slices[index]
@@ -483,18 +456,9 @@ def run_zoned(
                 barrier_msgs += count
             frame = b""  # drop the last ring view before slot reuse
             routing_started = time.perf_counter()
-            # The canonical merge: sort decoded index tuples; payload
-            # views are sliced zero-copy into per-destination frames.
-            records.sort(key=_record_order)
-            payload: "bytes | memoryview" = b""
-            for src_zone, seq, dest_zone, bridge_id, payload in records:
-                encoders[dest_shard[dest_zone]].append(
-                    src_zone, seq, dest_zone, bridge_id, payload
-                )
-            # Release the payload views into the rings (the loop variable
-            # would otherwise pin the last record's slot past close()).
+            route_records(records, encoders, dest_shard)
+            # Release the payload views into the rings before slot reuse.
             records.clear()
-            payload = b""
             for index, conn in enumerate(conns):
                 encoder = encoders[index]
                 view = encoder.view()

@@ -60,9 +60,16 @@ class TestSuspicionTimeoutFormula:
         assert suspicion_timeout(10.0, 60.0, 7, 3) == pytest.approx(10.0)
 
     def test_paper_formula_midway(self):
-        minimum, maximum, k, c = 10.0, 60.0, 3, 1
-        expected = maximum - (maximum - minimum) * math.log(c + 1) / math.log(k + 1)
-        assert suspicion_timeout(minimum, maximum, c, k) == pytest.approx(expected)
+        """Independent oracle: the memberlist/aioc suspicion test for
+        Min=2, Max=30, K=3. It asserts *remaining* times 30, 14,
+        4.810524989903811 and -2 at elapsed 0, 2, 3 and 4 seconds after
+        0..3 confirmations; adding the elapsed time back gives the full
+        timeouts."""
+        timeouts = [suspicion_timeout(2.0, 30.0, c, 3) for c in range(4)]
+        assert timeouts[0] == 30.0
+        assert timeouts[1] == 16.0
+        assert timeouts[2] == pytest.approx(7.810524989903811, abs=1e-12)
+        assert timeouts[3] == 2.0
 
     def test_logarithmic_decay_shrinks_steps(self):
         """Each successive confirmation reduces the timeout by less."""

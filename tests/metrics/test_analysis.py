@@ -1,7 +1,11 @@
 """Tests for false-positive classification and latency extraction
 (the paper's metric definitions, Sections V-F1 / V-F2)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.analysis import (
     FalsePositiveStats,
@@ -141,3 +145,23 @@ class TestRatio:
 
     def test_zero_baseline(self):
         assert ratio_pct(5, 0) is None
+
+
+@given(
+    values=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40
+    ),
+    percentiles=st.lists(
+        st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=5
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_percentiles_match_numpy_exactly(values, percentiles):
+    """The pure-Python interpolation reproduces ``numpy.percentile``
+    (the reference it replaced) exactly, not merely approximately."""
+    np = pytest.importorskip("numpy")
+    summary = percentile_summary(values, percentiles=tuple(percentiles))
+    expected = np.percentile(np.asarray(values, dtype=float), percentiles)
+    for p, want in zip(percentiles, expected):
+        got = summary[p]
+        assert got == float(want) or (math.isnan(got) and math.isnan(want))

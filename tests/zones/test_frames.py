@@ -8,21 +8,20 @@ Three layers of assurance for :mod:`repro.zones.frames`:
 * ring unit tests — double-buffered slot addressing, oversize
   detection, attach-by-name semantics;
 * a hypothesis differential test pinning the packed-frame routing path
-  (encode per-shard frames → decode → ``(src_zone, seq)`` sort →
-  re-frame per destination → decode) to the legacy
-  ``CrossZoneMessage`` object path it replaced — same per-destination
-  message sequence, field for field.
+  (encode per-shard frames → decode → the production
+  :func:`~repro.zones.frames.route_records` sort and re-frame → decode)
+  to an independent object-level reference router kept here — same
+  per-destination message sequence, field for field.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.zones.cluster import CrossZoneMessage
 from repro.zones.frames import (
     FRAME_HEAD,
     RECORD_HEAD,
@@ -31,6 +30,7 @@ from repro.zones.frames import (
     FrameBuffer,
     FrameError,
     iter_records,
+    route_records,
 )
 from repro.zones.sharded import shard_slices
 from repro.zones.topology import build_layout
@@ -224,33 +224,43 @@ class TestBarrierRing:
 
 
 # --------------------------------------------------------------------- #
-# Differential: packed-frame routing == legacy object-path routing
+# Differential: packed-frame routing == object-level reference routing
 # --------------------------------------------------------------------- #
 
 
+class _Message(NamedTuple):
+    """One cross-zone message as plain fields, for the reference router."""
+
+    src_zone: int
+    seq: int
+    dest_zone: int
+    dest_bridge: str
+    payload: bytes
+
+
 def _legacy_route(
-    messages: List[CrossZoneMessage], slices: List[Tuple[int, ...]]
-) -> List[List[CrossZoneMessage]]:
+    messages: List[_Message], slices: List[Tuple[int, ...]]
+) -> List[List[_Message]]:
     """The pre-frame master: merge-sort the pickled objects, batch per
     destination shard (verbatim from the old ``run_zoned`` loop)."""
     dest_shard = {
         zi: index for index, zone_indices in enumerate(slices) for zi in zone_indices
     }
     merged = sorted(messages, key=lambda m: (m.src_zone, m.seq))
-    batches: List[List[CrossZoneMessage]] = [[] for _ in slices]
+    batches: List[List[_Message]] = [[] for _ in slices]
     for message in merged:
         batches[dest_shard[message.dest_zone]].append(message)
     return batches
 
 
 def _frame_route(
-    messages: List[CrossZoneMessage],
+    messages: List[_Message],
     slices: List[Tuple[int, ...]],
     table: BridgeTable,
-) -> List[List[CrossZoneMessage]]:
-    """The frame master: per-source-shard encode, header decode,
-    ``(src_zone, seq)`` sort on index tuples, zero-copy re-frame per
-    destination, worker-side decode back to messages."""
+) -> List[List[_Message]]:
+    """The frame path: per-source-shard encode, header decode, the
+    master's :func:`route_records`, worker-side decode back to
+    messages."""
     dest_shard = {
         zi: index for index, zone_indices in enumerate(slices) for zi in zone_indices
     }
@@ -265,16 +275,12 @@ def _frame_route(
     records = []
     for buf in outboxes:
         records.extend(iter_records(buf.view()))
-    records.sort(key=lambda r: (r[0], r[1]))
     dest_bufs = [FrameBuffer() for _ in slices]
-    for src_zone, seq, dest_zone, bridge_id, payload in records:
-        dest_bufs[dest_shard[dest_zone]].append(
-            src_zone, seq, dest_zone, bridge_id, payload
-        )
+    route_records(records, dest_bufs, dest_shard)
     # Destination worker side: decode the routed frame back to messages.
     return [
         [
-            CrossZoneMessage(s, q, d, table.names[b], bytes(p))
+            _Message(s, q, d, table.names[b], bytes(p))
             for s, q, d, b, p in iter_records(buf.view())
         ]
         for buf in dest_bufs
@@ -292,20 +298,20 @@ def _routing_case(draw):
     }
     seqs = [0] * zone_count
     n_messages = draw(st.integers(min_value=0, max_value=40))
-    messages: List[CrossZoneMessage] = []
+    messages: List[_Message] = []
     for _ in range(n_messages):
         src = draw(st.integers(min_value=0, max_value=zone_count - 1))
         dest = draw(st.integers(min_value=0, max_value=zone_count - 1))
         bridge = draw(st.sampled_from(bridges_by_zone[dest]))
         payload = draw(st.binary(max_size=48))
-        messages.append(CrossZoneMessage(src, seqs[src], dest, bridge, payload))
+        messages.append(_Message(src, seqs[src], dest, bridge, payload))
         seqs[src] += 1
     # Present messages in arbitrary interleaved order, the way distinct
     # workers' outboxes arrive — but keep per-source seq order within
     # the frame path's encode step by sorting per shard there.
     draw(st.randoms(use_true_random=False)).shuffle(messages)
     # Frame encode requires per-source send order inside each shard,
-    # exactly what collect_outbox guarantees; restore it per source.
+    # exactly what a shard's outbox frame guarantees; restore it.
     messages.sort(key=lambda m: (m.src_zone, m.seq))
     return messages, shard_slices(zone_count, shards), table
 

@@ -38,6 +38,26 @@ class TestZonedCluster:
             if bridge.node.running:
                 assert not bridge.unreachable
 
+    def test_zone_partition_pinned(self):
+        # Pins the partitioned exchange: which records cross the barrier,
+        # in which order, and what the cut costs. The digest and counters
+        # were recorded before the exchange moved onto packed frames.
+        cluster = make_cluster()
+        cluster.add_zone_partition(("z000",), 10.0, 40.0)
+        cluster.start()
+        cluster.run_until(25.0)
+        for bridge in cluster.bridges:
+            if bridge.zone.name != "z000":
+                assert "z000" in bridge.unreachable
+        cluster.run_until(60.0)
+        assert cluster.merged_digest() == (
+            "87d09aeced821f0626b2e0549c8cd5698d3dc74515c44a288b52ce4bffc239c7"
+        )
+        assert cluster.barriers == 60
+        assert cluster.barrier_msgs == 242
+        assert cluster.barrier_bytes == 14_940
+        assert cluster.cross_zone_dropped == 126
+
     def test_digests_deterministic_across_reruns(self):
         a = make_cluster()
         a.start()
